@@ -16,7 +16,7 @@ use crate::expr::Expr;
 use crate::frame::Frame;
 use crate::ops::{Agg, AggSpec};
 use crate::plan::{PipelinePlan, Stage};
-use crate::state::{CellState, StateStore};
+use crate::state::{CellState, KeyId, SensorId, StateStore};
 use crate::streaming::{Decoder, PartitionMap, Transform};
 use oda_faults::{FaultPoint, FaultSite};
 use oda_storage::colfile::ColumnData;
@@ -24,8 +24,7 @@ use oda_storage::intern::StringInterner;
 use oda_telemetry::jobs::Job;
 use oda_telemetry::record::{Device, Observation, Quality};
 use oda_telemetry::sensors::SensorCatalog;
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Default Silver aggregation window (the paper's "e.g., every 15
@@ -71,15 +70,20 @@ pub fn bronze_frame(obs: &[Observation], catalog: &SensorCatalog) -> Frame {
         .collect();
     let mut unknown: HashMap<u16, u32> = HashMap::new();
     let mut devices = StringInterner::new();
-    let mut device_code: HashMap<Device, u32> = HashMap::new();
+    // A node has a handful of devices: a linear scan beats hashing.
+    let mut device_code: Vec<(Device, u32)> = Vec::new();
     for o in obs {
         ts.push(o.ts_ms);
         node.push(i64::from(o.component.node));
-        device.push(
-            *device_code
-                .entry(o.component.device)
-                .or_insert_with(|| devices.intern(&device_label(o.component.device))),
-        );
+        let d = o.component.device;
+        device.push(match device_code.iter().find(|(known, _)| *known == d) {
+            Some(&(_, code)) => code,
+            None => {
+                let code = devices.intern(&device_label(d));
+                device_code.push((d, code));
+                code
+            }
+        });
         sensor.push(match known.get(usize::from(o.sensor)) {
             Some(&code) => code,
             None => *unknown
@@ -256,77 +260,152 @@ pub fn bronze_to_silver_plan(window_ms: i64, job_ctx: Frame) -> PipelinePlan {
 /// The event-time watermark survives recovery because it is kept in the
 /// checkpointed state (`wm_ms` counter). State keys stay in the
 /// `"{node}\u{1f}{sensor}"` format for checkpoint compatibility, but
-/// are rendered once per distinct (node, sensor code) per batch — the
-/// per-row path does not allocate.
+/// each row reaches its cell through the store's `(node, sensor id)`
+/// index: the per-row path neither allocates nor hashes a string.
 pub fn streaming_silver_transform(window_ms: i64, lateness_ms: i64) -> Transform {
     Box::new(move |frame: Frame, state: &mut StateStore| {
-        let ts = frame.i64s("ts_ms")?;
-        let node = frame.i64s("node")?;
-        let (dict, codes) = frame.cat("sensor")?.to_dict();
-        let value = frame.f64s("value")?;
-        let quality = frame.i64s("quality")?;
-        let mut max_ts = state.counter("wm_ms") as i64;
-        let mut key_cache: HashMap<(i64, u32), String> = HashMap::new();
-        for i in 0..frame.rows() {
-            max_ts = max_ts.max(ts[i]);
-            if quality[i] != 0 || value[i].is_nan() {
-                continue;
-            }
-            let window = ts[i].div_euclid(window_ms) * window_ms;
-            let key = key_cache
-                .entry((node[i], codes[i]))
-                .or_insert_with(|| format!("{}\u{1f}{}", node[i], &dict[codes[i] as usize]));
-            state.cell(window, key).push(value[i]);
-        }
-        // Persist watermark progress (monotonic, safe as u64: sim time
-        // is non-negative).
-        let watermark = max_ts - lateness_ms;
-        if max_ts > 0 {
-            state.bump(
-                "wm_ms",
-                (max_ts as u64).saturating_sub(state.counter("wm_ms")),
-            );
-        }
-        // A window [w, w+width) is closed when watermark >= w + width.
-        let horizon = watermark - window_ms + 1;
+        let (max_ts, _) = fold_rows(&frame, state, window_ms)?;
+        let horizon = advance_watermark(state, max_ts, window_ms, lateness_ms);
         let closed = state.drain_closed(horizon);
-        let mut w_col = Vec::with_capacity(closed.len());
-        let mut n_col = Vec::with_capacity(closed.len());
-        let mut out_sensors = StringInterner::new();
-        let mut s_col = Vec::with_capacity(closed.len());
-        let mut mean_col = Vec::with_capacity(closed.len());
-        let mut min_col = Vec::with_capacity(closed.len());
-        let mut max_col = Vec::with_capacity(closed.len());
-        let mut c_col = Vec::with_capacity(closed.len());
-        for ((window, key), cell) in closed {
-            let (node_s, sensor_s) = key
-                .split_once('\u{1f}')
-                .ok_or_else(|| PipelineError::Decode("bad state key".into()))?;
-            w_col.push(window);
-            n_col.push(
-                node_s
-                    .parse::<i64>()
-                    .map_err(|_| PipelineError::Decode("bad node".into()))?,
-            );
-            s_col.push(out_sensors.intern(sensor_s));
-            mean_col.push(cell.mean());
-            min_col.push(cell.min);
-            max_col.push(cell.max);
-            c_col.push(cell.count as i64);
+        let mut out = SilverRows::new(state, closed.len(), false);
+        for (window, id, cell) in &closed {
+            out.push(*window, *id, cell, false)?;
         }
-        Frame::new(vec![
-            ("window".into(), ColumnData::I64(w_col.into())),
-            ("node".into(), ColumnData::I64(n_col.into())),
-            (
-                "sensor".into(),
-                ColumnData::dict(out_sensors.into_dict(), s_col),
-            ),
-            ("mean".into(), ColumnData::F64(mean_col.into())),
-            ("min".into(), ColumnData::F64(min_col.into())),
-            ("max".into(), ColumnData::F64(max_col.into())),
-            ("count".into(), ColumnData::I64(c_col.into())),
-        ])
+        out.finish()
     })
+}
+
+/// Fold the Good, non-NaN rows of a Bronze frame into their window
+/// cells, each value pushed in row order. Returns the largest event
+/// time seen (starting from the stored watermark) and the earliest
+/// window folded (`i64::MAX` when none).
+fn fold_rows(
+    frame: &Frame,
+    state: &mut StateStore,
+    window_ms: i64,
+) -> Result<(i64, i64), PipelineError> {
+    let ts = frame.i64s("ts_ms")?;
+    let node = frame.i64s("node")?;
+    let (dict, codes) = frame.cat("sensor")?.to_dict();
+    let value = frame.f64s("value")?;
+    let quality = frame.i64s("quality")?;
+    let sensor_of: Vec<SensorId> = dict.iter().map(|s| state.sensor_id(s)).collect();
+    let mut max_ts = state.counter("wm_ms") as i64;
+    let mut first_window = i64::MAX;
+    for i in 0..frame.rows() {
+        max_ts = max_ts.max(ts[i]);
+        if quality[i] != 0 || value[i].is_nan() {
+            continue;
+        }
+        let window = ts[i].div_euclid(window_ms) * window_ms;
+        first_window = first_window.min(window);
+        let id = state.node_key(node[i], sensor_of[codes[i] as usize]);
+        state.cell_at(window, id).push(value[i]);
+    }
+    Ok((max_ts, first_window))
+}
+
+/// Persist watermark progress (monotonic, safe as u64: sim time is
+/// non-negative) and return the drain horizon: a window [w, w+width) is
+/// closed when watermark >= w + width.
+fn advance_watermark(state: &mut StateStore, max_ts: i64, window_ms: i64, lateness_ms: i64) -> i64 {
+    if max_ts > 0 {
+        state.bump(
+            "wm_ms",
+            (max_ts as u64).saturating_sub(state.counter("wm_ms")),
+        );
+    }
+    max_ts - lateness_ms - window_ms + 1
+}
+
+/// Output columns of the streaming Silver transforms. Node and sensor
+/// come from the state's key table once per key id; the output sensor
+/// dictionary is built in first-emitted order.
+struct SilverRows<'a> {
+    state: &'a StateStore,
+    /// Output code per state sensor id (`u32::MAX` = not emitted yet).
+    sensor_code: Vec<u32>,
+    sensors: Vec<String>,
+    window: Vec<i64>,
+    node: Vec<i64>,
+    sensor: Vec<u32>,
+    mean: Vec<f64>,
+    min: Vec<f64>,
+    max: Vec<f64>,
+    count: Vec<i64>,
+    /// Present for the gap-marked transform.
+    gap: Option<Vec<i64>>,
+}
+
+impl<'a> SilverRows<'a> {
+    fn new(state: &'a StateStore, rows: usize, with_gap: bool) -> SilverRows<'a> {
+        SilverRows {
+            state,
+            sensor_code: vec![u32::MAX; state.sensor_count()],
+            sensors: Vec::new(),
+            window: Vec::with_capacity(rows),
+            node: Vec::with_capacity(rows),
+            sensor: Vec::with_capacity(rows),
+            mean: Vec::with_capacity(rows),
+            min: Vec::with_capacity(rows),
+            max: Vec::with_capacity(rows),
+            count: Vec::with_capacity(rows),
+            gap: with_gap.then(|| Vec::with_capacity(rows)),
+        }
+    }
+
+    /// Append one row; a gap marker carries NaN statistics.
+    fn push(
+        &mut self,
+        window: i64,
+        id: KeyId,
+        cell: &CellState,
+        gap: bool,
+    ) -> Result<(), PipelineError> {
+        let (node, sensor) = self
+            .state
+            .key_parts(id)
+            .ok_or_else(|| PipelineError::Decode("bad state key".into()))?;
+        let code = &mut self.sensor_code[sensor as usize];
+        if *code == u32::MAX {
+            *code = self.sensors.len() as u32;
+            self.sensors
+                .push(self.state.sensor_name(sensor).to_string());
+        }
+        self.window.push(window);
+        self.node.push(node);
+        self.sensor.push(*code);
+        if gap {
+            self.mean.push(f64::NAN);
+            self.min.push(f64::NAN);
+            self.max.push(f64::NAN);
+        } else {
+            self.mean.push(cell.mean());
+            self.min.push(cell.min);
+            self.max.push(cell.max);
+        }
+        self.count.push(cell.count as i64);
+        if let Some(col) = &mut self.gap {
+            col.push(i64::from(gap));
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> Result<Frame, PipelineError> {
+        let mut columns = vec![
+            ("window".into(), ColumnData::I64(self.window.into())),
+            ("node".into(), ColumnData::I64(self.node.into())),
+            ("sensor".into(), ColumnData::dict(self.sensors, self.sensor)),
+            ("mean".into(), ColumnData::F64(self.mean.into())),
+            ("min".into(), ColumnData::F64(self.min.into())),
+            ("max".into(), ColumnData::F64(self.max.into())),
+            ("count".into(), ColumnData::I64(self.count.into())),
+        ];
+        if let Some(gap) = self.gap {
+            columns.push(("gap".into(), ColumnData::I64(gap.into())));
+        }
+        Frame::new(columns)
+    }
 }
 
 /// Gap-aware variant of [`streaming_silver_transform`]: degrades
@@ -343,70 +422,48 @@ pub fn streaming_silver_transform(window_ms: i64, lateness_ms: i64) -> Transform
 pub fn streaming_silver_transform_gap_marked(window_ms: i64, lateness_ms: i64) -> Transform {
     const ROSTER_PREFIX: &str = "seen\u{1f}";
     Box::new(move |frame: Frame, state: &mut StateStore| {
-        let ts = frame.i64s("ts_ms")?;
-        let node = frame.i64s("node")?;
-        let (dict, codes) = frame.cat("sensor")?.to_dict();
-        let value = frame.f64s("value")?;
-        let quality = frame.i64s("quality")?;
-        let mut max_ts = state.counter("wm_ms") as i64;
-        let mut first_window = i64::MAX;
-        // Keys (and the roster check) are rendered once per distinct
-        // (node, sensor code) per batch; rows hit a code-indexed cache.
-        let mut key_cache: HashMap<(i64, u32), String> = HashMap::new();
-        for i in 0..frame.rows() {
-            max_ts = max_ts.max(ts[i]);
-            if quality[i] != 0 || value[i].is_nan() {
-                continue;
+        let known = state.key_count();
+        let (max_ts, first_window) = fold_rows(&frame, state, window_ms)?;
+        // Keys first interned by this fold join the roster. Every older
+        // key in the table is rostered already: it was folded by an
+        // earlier batch, restored from a (rostered) cell, or interned
+        // from the roster itself below.
+        for id in known..state.key_count() {
+            let roster_key = format!("{ROSTER_PREFIX}{}", state.key(id as KeyId));
+            if state.counter(&roster_key) == 0 {
+                state.bump(&roster_key, 1);
             }
-            let window = ts[i].div_euclid(window_ms) * window_ms;
-            first_window = first_window.min(window);
-            let key = match key_cache.entry((node[i], codes[i])) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => {
-                    let key = format!("{}\u{1f}{}", node[i], &dict[codes[i] as usize]);
-                    let roster_key = format!("{ROSTER_PREFIX}{key}");
-                    if state.counter(&roster_key) == 0 {
-                        state.bump(&roster_key, 1);
-                    }
-                    e.insert(key)
-                }
-            };
-            state.cell(window, key).push(value[i]);
         }
-        if max_ts > 0 {
-            state.bump(
-                "wm_ms",
-                (max_ts as u64).saturating_sub(state.counter("wm_ms")),
-            );
-        }
+        let horizon = advance_watermark(state, max_ts, window_ms, lateness_ms);
         // Gap cursor: next window start owed a full roster sweep, stored
         // +1 so 0 can mean "unset" (sim time is non-negative).
         if state.counter("gap_next") == 0 && (0..i64::MAX).contains(&first_window) {
             state.bump("gap_next", first_window as u64 + 1);
         }
-        let watermark = max_ts - lateness_ms;
-        let horizon = watermark - window_ms + 1;
-        let mut cells: BTreeMap<(i64, String), CellState> =
-            state.drain_closed(horizon).into_iter().collect();
+        let mut cells: HashMap<(i64, KeyId), CellState> = state
+            .drain_closed(horizon)
+            .into_iter()
+            .map(|(w, id, cell)| ((w, id), cell))
+            .collect();
         let last_closed = if horizon > 0 {
             (horizon - 1).div_euclid(window_ms) * window_ms
         } else {
             i64::MIN
         };
         // One row per (closed window, rostered key): real or gap marker.
-        let mut rows: Vec<(i64, String, CellState, i64)> = Vec::new();
+        let mut rows: Vec<(i64, KeyId, CellState, bool)> = Vec::new();
         if state.counter("gap_next") > 0 && last_closed >= 0 {
-            let roster: Vec<String> = state
+            let roster: Vec<KeyId> = state
                 .counters_with_prefix(ROSTER_PREFIX)
                 .into_iter()
-                .map(|(k, _)| k[ROSTER_PREFIX.len()..].to_string())
+                .map(|(k, _)| state.key_id(&k[ROSTER_PREFIX.len()..]))
                 .collect();
             let mut w = (state.counter("gap_next") - 1) as i64;
             while w <= last_closed {
-                for key in &roster {
-                    match cells.remove(&(w, key.clone())) {
-                        Some(cell) => rows.push((w, key.clone(), cell, 0)),
-                        None => rows.push((w, key.clone(), CellState::new(), 1)),
+                for &id in &roster {
+                    match cells.remove(&(w, id)) {
+                        Some(cell) => rows.push((w, id, cell, false)),
+                        None => rows.push((w, id, CellState::new(), true)),
                     }
                 }
                 w += window_ms;
@@ -417,55 +474,17 @@ pub fn streaming_silver_transform_gap_marked(window_ms: i64, lateness_ms: i64) -
         }
         // Cells drained outside the sweep (windows before the cursor)
         // still emit normally.
-        for ((w, key), cell) in cells {
-            rows.push((w, key, cell, 0));
+        rows.extend(
+            cells
+                .into_iter()
+                .map(|((w, id), cell)| (w, id, cell, false)),
+        );
+        rows.sort_by(|a, b| (a.0, state.key(a.1)).cmp(&(b.0, state.key(b.1))));
+        let mut out = SilverRows::new(state, rows.len(), true);
+        for (window, id, cell, gap) in &rows {
+            out.push(*window, *id, cell, *gap)?;
         }
-        rows.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-        let mut w_col = Vec::with_capacity(rows.len());
-        let mut n_col = Vec::with_capacity(rows.len());
-        let mut out_sensors = StringInterner::new();
-        let mut s_col = Vec::with_capacity(rows.len());
-        let mut mean_col = Vec::with_capacity(rows.len());
-        let mut min_col = Vec::with_capacity(rows.len());
-        let mut max_col = Vec::with_capacity(rows.len());
-        let mut c_col = Vec::with_capacity(rows.len());
-        let mut g_col = Vec::with_capacity(rows.len());
-        for (window, key, cell, gap) in rows {
-            let (node_s, sensor_s) = key
-                .split_once('\u{1f}')
-                .ok_or_else(|| PipelineError::Decode("bad state key".into()))?;
-            w_col.push(window);
-            n_col.push(
-                node_s
-                    .parse::<i64>()
-                    .map_err(|_| PipelineError::Decode("bad node".into()))?,
-            );
-            s_col.push(out_sensors.intern(sensor_s));
-            if gap == 1 {
-                mean_col.push(f64::NAN);
-                min_col.push(f64::NAN);
-                max_col.push(f64::NAN);
-            } else {
-                mean_col.push(cell.mean());
-                min_col.push(cell.min);
-                max_col.push(cell.max);
-            }
-            c_col.push(cell.count as i64);
-            g_col.push(gap);
-        }
-        Frame::new(vec![
-            ("window".into(), ColumnData::I64(w_col.into())),
-            ("node".into(), ColumnData::I64(n_col.into())),
-            (
-                "sensor".into(),
-                ColumnData::dict(out_sensors.into_dict(), s_col),
-            ),
-            ("mean".into(), ColumnData::F64(mean_col.into())),
-            ("min".into(), ColumnData::F64(min_col.into())),
-            ("max".into(), ColumnData::F64(max_col.into())),
-            ("count".into(), ColumnData::I64(c_col.into())),
-            ("gap".into(), ColumnData::I64(g_col.into())),
-        ])
+        out.finish()
     })
 }
 
@@ -695,6 +714,89 @@ mod tests {
             1,
             "roster (and thus gap detection) must survive recovery"
         );
+    }
+
+    /// Nodes 0, 9, 10, 100 (so key order puts "10" and "100" before
+    /// "9"), catalog sensors 0–2 plus unknown sensor 999 on node 0, 2.5 s
+    /// ticks `from..to`, with NaNs, Missing rows, and node 10's sensor 2
+    /// dark from tick 6 on.
+    fn pinned_batch(from: i64, to: i64) -> Vec<Observation> {
+        let mut out = Vec::new();
+        for t in from..to {
+            for node in [0u32, 9, 10, 100] {
+                for sensor in [0u16, 1, 2, 999] {
+                    if (node == 10 && sensor == 2 && t >= 6) || (sensor == 999 && node != 0) {
+                        continue;
+                    }
+                    let k = t * 31 + i64::from(node) * 7 + i64::from(sensor);
+                    out.push(Observation {
+                        ts_ms: t * 2_500,
+                        sensor,
+                        component: Component::node(node),
+                        value: if k % 17 == 0 {
+                            f64::NAN
+                        } else {
+                            (k % 101) as f64 * 0.25 - 3.0
+                        },
+                        quality: if k % 13 == 0 {
+                            Quality::Missing
+                        } else {
+                            Quality::Good
+                        },
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    /// The pinned fixtures were written by the string-keyed state store:
+    /// epoch 0 is the gap-marked state after `pinned_batch(0, 16)`;
+    /// epoch 1 the state and emitted rows after `pinned_batch(16, 30)`
+    /// plus one late sample. Folding from the restored epoch-0 state
+    /// must reproduce both byte for byte.
+    #[test]
+    fn pinned_state_resumes_like_the_string_keyed_store() {
+        let cat = tiny_catalog();
+        let epoch0 = include_bytes!("testdata/silver_state_epoch0.json");
+        let epoch1 = include_bytes!("testdata/silver_state_epoch1.json");
+        let rows1 = include_str!("testdata/silver_rows_epoch1.txt");
+        let mut transform = streaming_silver_transform_gap_marked(15_000, 5_000);
+        let mut fresh = StateStore::new();
+        transform(bronze_frame(&pinned_batch(0, 16), &cat), &mut fresh).unwrap();
+        assert_eq!(fresh.snapshot(), epoch0);
+        let mut state = StateStore::restore(epoch0).unwrap();
+        let mut batch = pinned_batch(16, 30);
+        batch.push(obs(33_000, 9, 1, 1.5));
+        let out = transform(bronze_frame(&batch, &cat), &mut state).unwrap();
+        assert_eq!(state.snapshot(), epoch1);
+        let (w, n, sensor) = (
+            out.i64s("window").unwrap(),
+            out.i64s("node").unwrap(),
+            out.cat("sensor").unwrap(),
+        );
+        let (mean, min, max) = (
+            out.f64s("mean").unwrap(),
+            out.f64s("min").unwrap(),
+            out.f64s("max").unwrap(),
+        );
+        let (count, gap) = (out.i64s("count").unwrap(), out.i64s("gap").unwrap());
+        let rendered: String = (0..out.rows())
+            .map(|i| {
+                format!(
+                    "{} {} {} {:016x} {:016x} {:016x} {} {}\n",
+                    w[i],
+                    n[i],
+                    sensor.get(i),
+                    mean[i].to_bits(),
+                    min[i].to_bits(),
+                    max[i].to_bits(),
+                    count[i],
+                    gap[i]
+                )
+            })
+            .collect();
+        assert_eq!(rendered, rows1);
     }
 
     #[test]

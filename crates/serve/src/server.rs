@@ -1,17 +1,20 @@
-//! The listener: a std-only, thread-per-connection HTTP server with a
-//! bounded connection budget, read timeouts, and graceful shutdown.
+//! The listener: a std-only HTTP server with a bounded connection
+//! budget, read timeouts, and graceful shutdown.
 //!
-//! No async runtime, no dependencies: a non-blocking `TcpListener`
-//! accept loop on one thread, one short-lived worker thread per
-//! accepted connection (scrape requests are single-round-trip and
-//! `Connection: close`, so threads live milliseconds). The connection
-//! budget sheds load with an immediate 503 instead of queueing —
-//! a stalled dashboard must never back-pressure into the data plane —
-//! and per-socket read timeouts bound how long a slow-loris client can
-//! pin a thread.
+//! No async runtime, no dependencies: one thread blocks in `accept()`.
+//! A connection whose whole request has already arrived when it is
+//! accepted (a non-blocking peek sees the blank line that ends the
+//! headers) is answered right there on the accept thread — a scrape is
+//! one round trip and `Connection: close`, so that costs less than a
+//! thread spawn. Any other connection gets a short-lived worker thread
+//! whose read timeout bounds how long a slow-loris client can pin it.
+//! The connection budget sheds load with an immediate 503 instead of
+//! queueing — a stalled dashboard must never back-pressure into the
+//! data plane. Shutdown wakes the blocked `accept()` by connecting to
+//! the listener.
 
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -25,10 +28,8 @@ use crate::router::Endpoints;
 pub struct ServerConfig {
     /// Connections served concurrently before new ones get 503.
     pub max_connections: usize,
-    /// Per-socket read timeout (bounds a stalled request).
+    /// Per-socket read (and write) timeout: bounds a stalled client.
     pub read_timeout: Duration,
-    /// Accept-loop poll interval while idle or draining.
-    pub poll_interval: Duration,
 }
 
 impl Default for ServerConfig {
@@ -36,7 +37,6 @@ impl Default for ServerConfig {
         Self {
             max_connections: 64,
             read_timeout: Duration::from_secs(5),
-            poll_interval: Duration::from_millis(2),
         }
     }
 }
@@ -68,8 +68,22 @@ impl ServerHandle {
     /// drain, and join the accept thread.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        // Wake the blocked accept() with a connection of our own. If
+        // that fails the accept thread is left detached rather than
+        // joined forever.
+        let wake = match self.addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => {
+                SocketAddr::new(Ipv4Addr::LOCALHOST.into(), self.addr.port())
+            }
+            IpAddr::V6(ip) if ip.is_unspecified() => {
+                SocketAddr::new(Ipv6Addr::LOCALHOST.into(), self.addr.port())
+            }
+            _ => self.addr,
+        };
         if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+            if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
+                let _ = t.join();
+            }
         }
         // In-flight workers hold the socket; give them a bounded drain
         // window (read timeouts cap how long any one can take).
@@ -88,7 +102,6 @@ pub fn serve<A: ToSocketAddrs>(
     config: ServerConfig,
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let active = Arc::new(AtomicUsize::new(0));
@@ -116,39 +129,49 @@ fn accept_loop(
     stop: Arc<AtomicBool>,
     active: Arc<AtomicUsize>,
 ) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if active.load(Ordering::SeqCst) >= config.max_connections {
-                    // Shed immediately: a busy operator plane answers
-                    // "try later", it never queues into the data plane.
-                    shed(stream);
-                    continue;
-                }
-                active.fetch_add(1, Ordering::SeqCst);
-                let endpoints = endpoints.clone();
-                let worker_active = Arc::clone(&active);
-                let read_timeout = config.read_timeout;
-                let spawned = std::thread::Builder::new()
-                    .name("oda-serve-conn".into())
-                    .spawn(move || {
-                        handle_connection(stream, &endpoints, read_timeout);
-                        worker_active.fetch_sub(1, Ordering::SeqCst);
-                    });
-                if spawned.is_err() {
-                    active.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(config.poll_interval);
-            }
-            Err(_) => {
-                // Transient accept errors (e.g. aborted handshake):
-                // keep serving.
-                std::thread::sleep(config.poll_interval);
-            }
+    for stream in listener.incoming() {
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        // Transient accept errors (e.g. aborted handshake): keep serving.
+        let Ok(stream) = stream else { continue };
+        if active.load(Ordering::SeqCst) >= config.max_connections {
+            // Shed immediately: a busy operator plane answers
+            // "try later", it never queues into the data plane.
+            shed(stream);
+            continue;
+        }
+        active.fetch_add(1, Ordering::SeqCst);
+        if request_arrived(&stream) {
+            handle_connection(stream, &endpoints, config.read_timeout);
+            active.fetch_sub(1, Ordering::SeqCst);
+            continue;
+        }
+        let endpoints = endpoints.clone();
+        let worker_active = Arc::clone(&active);
+        let read_timeout = config.read_timeout;
+        let spawned = std::thread::Builder::new()
+            .name("oda-serve-conn".into())
+            .spawn(move || {
+                handle_connection(stream, &endpoints, read_timeout);
+                worker_active.fetch_sub(1, Ordering::SeqCst);
+            });
+        if spawned.is_err() {
+            active.fetch_sub(1, Ordering::SeqCst);
         }
     }
+}
+
+/// True when the request's header block is already buffered on
+/// `stream` (a non-blocking peek finds the blank line ending it), so
+/// parsing it cannot block.
+fn request_arrived(stream: &TcpStream) -> bool {
+    let mut buf = [0u8; 1024];
+    if stream.set_nonblocking(true).is_err() {
+        return false;
+    }
+    let n = stream.peek(&mut buf).unwrap_or(0);
+    stream.set_nonblocking(false).is_ok() && buf[..n].windows(4).any(|w| w == b"\r\n\r\n")
 }
 
 /// 503 and close — the over-budget path.
@@ -170,6 +193,7 @@ fn shed(mut stream: TcpStream) {
 /// Serve exactly one request on `stream`.
 fn handle_connection(stream: TcpStream, endpoints: &Endpoints, read_timeout: Duration) {
     let _ = stream.set_read_timeout(Some(read_timeout));
+    let _ = stream.set_write_timeout(Some(read_timeout));
     let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
@@ -245,6 +269,49 @@ mod tests {
                 assert_ne!(s.read(&mut buf).ok(), Some(1), "accept loop still alive");
             }
         }
+    }
+
+    #[test]
+    fn shutdown_wakes_accept_on_unspecified_bind() {
+        let handle = serve(Endpoints::new(), "0.0.0.0:0", ServerConfig::default()).unwrap();
+        let (status, _, _) = fetch(
+            SocketAddr::new(Ipv4Addr::LOCALHOST.into(), handle.addr().port()),
+            "/nope",
+        );
+        assert_eq!(status, 404);
+        let started = std::time::Instant::now();
+        handle.shutdown();
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "accept never woke"
+        );
+    }
+
+    #[test]
+    fn stalled_clients_do_not_block_scrapes() {
+        let reg = oda_obs::Registry::new();
+        reg.counter("alive_total", "still serving", &[]).add(1);
+        let endpoints = Endpoints::new().with_registry(&reg);
+        let handle = serve(endpoints, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        // One client sends nothing, one stops mid request line. Each
+        // connect returns once the handshake has queued the connection,
+        // so the server accepts both before the scrape.
+        let silent = TcpStream::connect(handle.addr()).unwrap();
+        let mut half = TcpStream::connect(handle.addr()).unwrap();
+        half.write_all(b"GET /metr").unwrap();
+        let started = std::time::Instant::now();
+        let (status, _, body) = fetch(handle.addr(), "/metrics");
+        assert_eq!(status, 200);
+        assert!(body.contains("alive_total"));
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "scrape waited on a stalled client: {:?}",
+            started.elapsed()
+        );
+        // Hang up so shutdown does not wait out the read timeout.
+        drop(silent);
+        drop(half);
+        handle.shutdown();
     }
 
     #[test]
